@@ -220,6 +220,81 @@ void BM_CanNextHopMix(benchmark::State& state) {
 }
 BENCHMARK(BM_CanNextHopMix)->Arg(1024)->Arg(4096);
 
+// INSCAN greedy routing in isolation: full routes where every hop ranks the
+// CAN neighbors plus the node's index-table fingers, exactly as
+// IndexSystem::route_step does, minus the message bus.  Finger tables are
+// INSCAN-shaped: per dimension and direction, the nodes 2^k hops out along
+// directional walks (two walks per track, two samples per level), as the
+// periodic probe walks build them.  BM_CanNextHopMix covers neighbors only.
+void BM_InscanFingerRouting(benchmark::State& state) {
+  constexpr std::size_t kDims = 5;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const can::CanSpace space = make_space(n, kDims);
+  Rng rng(23);
+  const SimTime now = seconds(1);
+  std::vector<index::IndexTable> tables;
+  tables.reserve(n);
+  std::vector<NodeId> step;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    index::IndexTable& tbl =
+        tables.emplace_back(kDims, /*samples_per_level=*/2, seconds(2700));
+    for (std::size_t d = 0; d < kDims; ++d) {
+      for (const can::Direction dir :
+           {can::Direction::kNegative, can::Direction::kPositive}) {
+        for (int walk = 0; walk < 2; ++walk) {
+          NodeId at(i);
+          for (std::uint32_t hops = 1, level = 0; hops <= 512; ++hops) {
+            space.directional_neighbors(at, d, dir, step);
+            if (step.empty()) break;
+            at = step[rng.pick_index(step.size())];
+            if (hops == (std::uint32_t{1} << level)) {
+              tbl.store(d, dir, level++, at, 0);
+            }
+          }
+        }
+      }
+    }
+  }
+  struct Query {
+    NodeId start;
+    can::Point target;
+  };
+  std::vector<Query> queries;
+  for (int q = 0; q < 512; ++q) {
+    can::Point target(kDims);
+    for (std::size_t d = 0; d < kDims; ++d) target[d] = rng.uniform();
+    queries.push_back(Query{space.random_member(rng), target});
+  }
+  std::size_t qi = 0;
+  std::uint64_t hops = 0;
+  for (auto _ : state) {
+    const Query& q = queries[qi++ & 511];
+    NodeId at = q.start;
+    for (;;) {
+      NodeId best;
+      double best_d = 0.0;
+      double best_c = 0.0;
+      const can::CanSpace::Hop hop =
+          space.greedy_hop(at, q.target, best, best_d, best_c);
+      if (hop == can::CanSpace::Hop::kOwner) break;
+      if (hop == can::CanSpace::Hop::kOpen) {
+        const auto consider = [&](const index::IndexTable::Entry& e) {
+          if (e.id == at) return;
+          space.consider_candidate_toward(e.id, q.target, best, best_d,
+                                          best_c);
+        };
+        tables[at.value].for_each_live(now, consider);
+      }
+      at = best;
+      ++hops;
+    }
+    benchmark::DoNotOptimize(at);
+  }
+  state.counters["hops_per_route"] = benchmark::Counter(
+      static_cast<double>(hops) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_InscanFingerRouting)->Arg(2048)->Arg(16384);
+
 // Directional neighbor filtering through the cached per-neighbor adjacency
 // metadata, into a reused scratch buffer — the inner loop of probe walks,
 // diffusion target picks and KHDN spreading.  Zero allocations in steady

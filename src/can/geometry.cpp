@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 namespace soc::can {
@@ -114,18 +115,7 @@ std::optional<Zone> Zone::merged_with(const Zone& o) const {
 }
 
 double Zone::distance_sq(const Point& p) const {
-  SOC_DCHECK(p.dims() == dims());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < dims(); ++i) {
-    double g = 0.0;
-    if (p[i] < lo_[i]) {
-      g = lo_[i] - p[i];
-    } else if (p[i] > hi_[i]) {
-      g = p[i] - hi_[i];
-    }
-    sum += g * g;
-  }
-  return sum;
+  return distance_sq_within(p, std::numeric_limits<double>::infinity());
 }
 
 double Zone::center_distance_sq(const Point& p) const {

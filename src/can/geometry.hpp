@@ -126,6 +126,27 @@ class Zone {
   /// Squared Euclidean distance from p to the closest point of the box.
   [[nodiscard]] double distance_sq(const Point& p) const;
 
+  /// distance_sq, abandoned once the partial sum exceeds `bound`: exact
+  /// when the result is <= bound, and > bound otherwise (a float sum of
+  /// non-negative terms never decreases, so the full sum would be too).
+  /// Routing uses it to drop candidates that cannot beat the incumbent.
+  [[nodiscard]] double distance_sq_within(const Point& p,
+                                          double bound) const {
+    SOC_DCHECK(p.dims() == dims());
+    double sum = 0.0;
+    for (std::size_t i = 0; i < dims(); ++i) {
+      double g = 0.0;
+      if (p[i] < lo_[i]) {
+        g = lo_[i] - p[i];
+      } else if (p[i] > hi_[i]) {
+        g = p[i] - hi_[i];
+      }
+      sum += g * g;
+      if (sum > bound) break;
+    }
+    return sum;
+  }
+
   /// Squared Euclidean distance from p to the box center — routing's
   /// plateau tie-breaker.
   [[nodiscard]] double center_distance_sq(const Point& p) const;

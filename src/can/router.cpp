@@ -20,23 +20,22 @@ struct RouteState {
 };
 
 void step(const std::shared_ptr<RouteState>& st, NodeId at, std::size_t ttl) {
-  CanSpace& space = *st->space;
-  if (!space.contains(at)) return;
-  if (space.zone_of(at).contains(st->target)) {
-    st->on_arrive(at);
-    return;
-  }
-  if (ttl == 0) return;
-
   // Rank by (containment, box distance, center distance); the strictly
   // decreasing key avoids cycles and resolves corner/boundary plateaus —
   // see CanSpace::next_hop for the rationale.  The scan prunes candidates
   // via the cached abutting-dimension metadata.
   NodeId best;
-  double best_d = space.zone_of(at).distance_sq(st->target);
-  double best_c = point_distance_sq(space.center_of(at), st->target);
-  space.scan_neighbors_toward(at, st->target, best, best_d, best_c);
-  if (!best.valid()) return;  // stalled (transient churn state)
+  double best_d = 0.0;
+  double best_c = 0.0;
+  const CanSpace::Hop hop =
+      st->space->greedy_hop(at, st->target, best, best_d, best_c);
+  if (hop == CanSpace::Hop::kGone) return;
+  if (hop == CanSpace::Hop::kOwner) {
+    st->on_arrive(at);
+    return;
+  }
+  // TTL spent, or stalled (transient churn state).
+  if (ttl == 0 || !best.valid()) return;
   st->bus->send(at, best, st->type, st->bytes,
                 [st, best, ttl] { step(st, best, ttl - 1); });
 }

@@ -216,7 +216,11 @@ std::vector<NodeId> CanSpace::directional_neighbors(NodeId id, std::size_t dim,
 bool CanSpace::scan_neighbors_toward(NodeId from, const Point& target,
                                      NodeId& best, double& best_d,
                                      double& best_c) const {
-  const Member& m = member(from);
+  return scan_links(member(from), target, best, best_d, best_c);
+}
+
+bool CanSpace::scan_links(const Member& m, const Point& target, NodeId& best,
+                          double& best_d, double& best_c) const {
   for (const NeighborLink& l : m.links) {
     // Exact prune: the neighbor's zone starts at our boundary along its
     // abutting dimension, so that axis alone contributes at least gap² to
@@ -237,18 +241,23 @@ bool CanSpace::scan_neighbors_toward(NodeId from, const Point& target,
 bool CanSpace::consider_candidate_toward(NodeId cand, const Point& target,
                                          NodeId& best, double& best_d,
                                          double& best_c) const {
-  const Member& cm = member(cand);
-  const Zone& z = cm.zone;
-  if (z.contains(target)) {
+  const Member* cm = members_.find(cand);
+  if (cm == nullptr) return false;
+  const Zone& z = cm->zone;
+  // d > best_d never wins; strict > keeps box-distance ties for the
+  // center/id tie-breaks.
+  const double d = z.distance_sq_within(target, best_d);
+  if (d > best_d) return false;
+  // Only a zone at box distance 0 can contain the target.
+  if (d == 0.0 && z.contains(target)) {
     best = cand;
     best_d = -1.0;
     best_c = -1.0;
     return true;
   }
-  const double d = z.distance_sq(target);
-  const double c = point_distance_sq(cm.center, target);
-  if (d < best_d || (d == best_d && c < best_c) ||
-      (d == best_d && c == best_c && best.valid() && cand < best)) {
+  const double c = point_distance_sq(cm->center, target);
+  if (d < best_d || c < best_c ||
+      (c == best_c && best.valid() && cand < best)) {
     best = cand;
     best_d = d;
     best_c = c;
@@ -256,19 +265,32 @@ bool CanSpace::consider_candidate_toward(NodeId cand, const Point& target,
   return false;
 }
 
+CanSpace::Hop CanSpace::greedy_hop(NodeId from, const Point& target,
+                                   NodeId& best, double& best_d,
+                                   double& best_c) const {
+  const Member* m = members_.find(from);
+  if (m == nullptr) return Hop::kGone;
+  if (m->zone.contains(target)) return Hop::kOwner;
+  best = NodeId{};  // invalid until a candidate strictly improves on `from`
+  best_d = m->zone.distance_sq(target);
+  best_c = point_distance_sq(m->center, target);
+  return scan_links(*m, target, best, best_d, best_c) ? Hop::kContained
+                                                      : Hop::kOpen;
+}
+
 NodeId CanSpace::next_hop(NodeId from, const Point& target) const {
-  const Member& m = member(from);
-  if (m.zone.contains(target)) return from;
   // Candidates are ranked by (containment, box distance, center distance):
   // a zone owning the target wins outright; otherwise strictly smaller box
   // distance wins; center distance breaks plateaus — in particular targets
   // on zone corners, where several non-owning zones all report box
   // distance 0 and the owner may not be adjacent to the current node.
   // The key strictly decreases every hop, so routing cannot cycle.
-  NodeId best;  // invalid until a neighbor strictly improves on our zone
-  double best_d = m.zone.distance_sq(target);
-  double best_c = point_distance_sq(m.center, target);
-  scan_neighbors_toward(from, target, best, best_d, best_c);
+  NodeId best;
+  double best_d = 0.0;
+  double best_c = 0.0;
+  const Hop hop = greedy_hop(from, target, best, best_d, best_c);
+  SOC_CHECK_MSG(hop != Hop::kGone, "unknown member");
+  if (hop == Hop::kOwner) return from;
   SOC_CHECK_MSG(best.valid(), "greedy routing stalled");
   return best;
 }

@@ -120,13 +120,37 @@ class CanSpace {
   bool scan_neighbors_toward(NodeId from, const Point& target, NodeId& best,
                              double& best_d, double& best_c) const;
 
-  /// Evaluate one arbitrary member candidate (e.g. an INSCAN long-link
-  /// finger) under the exact same ranking scan_neighbors_toward applies to
+  /// Evaluate one arbitrary candidate (e.g. an INSCAN long-link finger)
+  /// under the exact same ranking scan_neighbors_toward applies to
   /// neighbors — the single definition of the tie-break chain.  Returns
-  /// true when the candidate's zone contains the target.
+  /// true when the candidate's zone contains the target; a non-member
+  /// (departed finger) is ignored and returns false.
+  ///
+  /// Ranking is lazy but exact: the box distance is summed axis by axis
+  /// and abandoned once the partial sum exceeds best_d (a float sum of
+  /// non-negative terms never decreases, so the full sum could not win
+  /// either); containment is tested only at box distance 0, and the center
+  /// distance only for candidates that tie or beat the incumbent.
   bool consider_candidate_toward(NodeId cand, const Point& target,
                                  NodeId& best, double& best_d,
                                  double& best_c) const;
+
+  /// Where one greedy hop at `from` stands after its neighbor scan.
+  enum class Hop : std::uint8_t {
+    kGone,       ///< `from` is not a member (the message is lost)
+    kOwner,      ///< `from`'s own zone contains the target
+    kContained,  ///< a neighbor's zone contains the target (best set)
+    kOpen,       ///< best is the top neighbor so far, invalid if none beat
+                 ///< `from`; more candidates (fingers) may still follow
+  };
+
+  /// One greedy hop's neighbor phase with a single member lookup: seeds the
+  /// incumbent (best invalid, best_d/best_c) with `from`'s own zone — the
+  /// key a candidate must strictly beat, so routing cannot cycle — then
+  /// runs scan_neighbors_toward's scan.  best/best_d/best_c are meaningful
+  /// only for kContained and kOpen.
+  Hop greedy_hop(NodeId from, const Point& target, NodeId& best,
+                 double& best_d, double& best_c) const;
 
   /// Greedy CAN routing step: the neighbor whose zone is closest to the
   /// target (self if the local zone already contains it).  Deterministic
@@ -185,6 +209,10 @@ class CanSpace {
 
   Member& member(NodeId id);
   [[nodiscard]] const Member& member(NodeId id) const;
+
+  /// scan_neighbors_toward's body over an already looked-up member.
+  bool scan_links(const Member& m, const Point& target, NodeId& best,
+                  double& best_d, double& best_c) const;
 
   /// The only way a member's zone may change: keeps the cached center in
   /// lock-step (verified by verify_invariants).

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "src/common/logging.hpp"
 #include "src/core/khdn_protocol.hpp"
 #include "src/obs/profiler.hpp"
 #include "src/obs/trace.hpp"

@@ -7,52 +7,47 @@ namespace soc::index {
 
 IndexTable::IndexTable(std::size_t dims, std::size_t samples_per_level,
                        SimTime entry_ttl)
-    : dims_(dims), samples_per_level_(samples_per_level), ttl_(entry_ttl),
-      tracks_(dims * 2) {
-  SOC_CHECK(dims > 0);
+    : dims_(dims), samples_per_level_(samples_per_level), ttl_(entry_ttl) {
+  SOC_CHECK(dims > 0 && dims <= can::kMaxDims);
   SOC_CHECK(samples_per_level > 0);
-}
-
-std::size_t IndexTable::track_index(std::size_t dim,
-                                    can::Direction dir) const {
-  SOC_CHECK(dim < dims_);
-  return dim * 2 + (dir == can::Direction::kPositive ? 1 : 0);
 }
 
 void IndexTable::store(std::size_t dim, can::Direction dir, std::size_t level,
                        NodeId id, SimTime now) {
   SOC_CHECK(level < 64);  // pick() tracks the level set in a 64-bit mask
-  auto& track = tracks_[track_index(dim, dir)];
+  const std::size_t t = track_index(dim, dir);
+  const auto first = entries_.begin() +
+                     static_cast<std::ptrdiff_t>(track_begin(t));
+  const auto last = entries_.begin() + track_end_[t];
   // Refresh an existing identical entry in place.
-  for (auto& e : track) {
-    if (e.id == id && e.level == level) {
-      e.refreshed_at = now;
+  for (auto it = first; it != last; ++it) {
+    if (it->id == id && it->level == level) {
+      it->refreshed_at = now;
       return;
     }
   }
+  const Entry fresh{id, static_cast<std::uint32_t>(level), now};
   // Enforce the per-level sample cap by evicting the stalest same-level
   // entry when full.
   std::size_t level_count = 0;
-  auto stalest = track.end();
-  for (auto it = track.begin(); it != track.end(); ++it) {
+  auto stalest = last;
+  for (auto it = first; it != last; ++it) {
     if (it->level != level) continue;
     ++level_count;
-    if (stalest == track.end() || it->refreshed_at < stalest->refreshed_at) {
+    if (stalest == last || it->refreshed_at < stalest->refreshed_at) {
       stalest = it;
     }
   }
-  if (level_count >= samples_per_level_ && stalest != track.end()) {
-    track.erase(stalest);
+  if (level_count >= samples_per_level_ && stalest != last) {
+    // Erase-then-append within the track, in place: the entries after the
+    // evicted one shift down and the new one takes the track's last slot.
+    std::rotate(stalest, stalest + 1, last);
+    *(last - 1) = fresh;
+    return;
   }
-  track.push_back(Entry{id, level, now});
-}
-
-void IndexTable::clear_track(std::size_t dim, can::Direction dir) {
-  tracks_[track_index(dim, dir)].clear();
-}
-
-void IndexTable::clear_all() {
-  for (auto& t : tracks_) t.clear();
+  SOC_CHECK(entries_.size() < UINT16_MAX);  // track_end_ is 16-bit
+  entries_.insert(last, fresh);
+  for (std::size_t u = t; u < 2 * dims_; ++u) ++track_end_[u];
 }
 
 std::vector<IndexTable::Entry> IndexTable::live_entries(
@@ -118,12 +113,6 @@ std::optional<NodeId> IndexTable::pick(std::size_t dim, can::Direction dir,
                       [](const Entry&) { return true; });
   }
   return std::nullopt;
-}
-
-std::size_t IndexTable::total_entries() const {
-  std::size_t n = 0;
-  for (const auto& t : tracks_) n += t.size();
-  return n;
 }
 
 }  // namespace soc::index

@@ -4,7 +4,9 @@
 // bring INSCAN routing to O(log² n).
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -27,7 +29,7 @@ class IndexTable {
  public:
   struct Entry {
     NodeId id;
-    std::size_t level = 0;  // distance 2^level zone-hops
+    std::uint32_t level = 0;  // distance 2^level zone-hops
     SimTime refreshed_at = 0;
   };
 
@@ -37,10 +39,6 @@ class IndexTable {
   /// Store a probe result: `id` sits 2^level hops away along (dim, dir).
   void store(std::size_t dim, can::Direction dir, std::size_t level,
              NodeId id, SimTime now);
-
-  /// Drop everything learned about a dimension/direction (pre-refresh).
-  void clear_track(std::size_t dim, can::Direction dir);
-  void clear_all();
 
   /// A NINode along (dim, dir) chosen per the policy; nullopt when the
   /// track is empty (e.g. at the space edge).  Allocation-free: selection
@@ -57,35 +55,54 @@ class IndexTable {
                                                 can::Direction dir,
                                                 SimTime now) const;
 
-  /// Visit live entries along a track without allocating — the per-hop
-  /// routing path uses this to treat index entries as long-link fingers.
+  /// Visit live entries along a track, in insertion order, without
+  /// allocating.
   template <typename Fn>
   void for_each_live(std::size_t dim, can::Direction dir, SimTime now,
                      Fn&& fn) const {
-    for (const Entry& e : tracks_[track_index(dim, dir)]) {
+    const std::size_t t = track_index(dim, dir);
+    for (std::size_t i = track_begin(t); i < track_end_[t]; ++i) {
+      if ((now - entries_[i].refreshed_at) < ttl_) fn(entries_[i]);
+    }
+  }
+
+  /// Visit the live entries of every track — dimension by dimension,
+  /// negative before positive — in one pass over the flat array.  The
+  /// per-hop routing path uses this to treat index entries as long-link
+  /// fingers.
+  template <typename Fn>
+  void for_each_live(SimTime now, Fn&& fn) const {
+    for (const Entry& e : entries_) {
       if ((now - e.refreshed_at) < ttl_) fn(e);
     }
   }
 
   [[nodiscard]] std::size_t dims() const { return dims_; }
-  [[nodiscard]] std::size_t total_entries() const;
+  [[nodiscard]] std::size_t total_entries() const { return entries_.size(); }
 
-  /// Bytes claimed by the per-track entry arrays
-  /// (attribution-profiler hook).
+  /// Bytes claimed by the entry array (attribution-profiler hook).
   [[nodiscard]] std::size_t mem_bytes() const {
-    std::size_t b = tracks_.capacity() * sizeof(std::vector<Entry>);
-    for (const auto& t : tracks_) b += t.capacity() * sizeof(Entry);
-    return b;
+    return entries_.capacity() * sizeof(Entry);
   }
 
  private:
   [[nodiscard]] std::size_t track_index(std::size_t dim,
-                                        can::Direction dir) const;
+                                        can::Direction dir) const {
+    SOC_CHECK(dim < dims_);
+    return dim * 2 + (dir == can::Direction::kPositive ? 1 : 0);
+  }
+  [[nodiscard]] std::size_t track_begin(std::size_t t) const {
+    return t == 0 ? 0 : track_end_[t - 1];
+  }
 
   std::size_t dims_;
   std::size_t samples_per_level_;
   SimTime ttl_;
-  std::vector<std::vector<Entry>> tracks_;  // [dim × direction]
+  /// Every track's entries back to back, tracks in [dim × direction]
+  /// order: one heap block per node instead of one per track.
+  std::vector<Entry> entries_;
+  /// One past each track's last entry in `entries_`.
+  std::array<std::uint16_t, 2 * can::kMaxDims> track_end_{};
 };
 
 }  // namespace soc::index

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "src/common/logging.hpp"
 #include "src/obs/trace.hpp"
 
 namespace soc::index {
@@ -202,16 +201,6 @@ void IndexSystem::route(NodeId from, const can::Point& target,
 void IndexSystem::route_step(NodeId at, std::size_t ttl,
                              const std::shared_ptr<RouteCtx>& ctx) {
   const can::Point& target = ctx->target;
-  if (!space_.contains(at)) return;  // current hop churned out: message lost
-  if (space_.zone_of(at).contains(target)) {
-    ctx->on_arrive(at);
-    return;
-  }
-  if (ttl == 0) {
-    SOC_LOG(kDebug) << "route TTL exhausted at node " << at.value;
-    return;
-  }
-
   // Greedy choice over adjacent neighbors plus (optionally) index fingers,
   // ranked by (containment, box distance, center distance) — the strictly
   // decreasing key avoids cycles and resolves corner/boundary plateaus
@@ -219,26 +208,32 @@ void IndexSystem::route_step(NodeId at, std::size_t ttl,
   // abutting-dimension metadata; a containing neighbor short-circuits the
   // finger scan (no finger can displace a zone that owns the target).
   NodeId best;
-  double best_d = space_.zone_of(at).distance_sq(target);
-  double best_c = can::point_distance_sq(space_.center_of(at), target);
-  const bool contained =
-      space_.scan_neighbors_toward(at, target, best, best_d, best_c);
-  if (!contained && config_.long_link_routing && state_.contains(at)) {
-    auto consider = [&](NodeId cand) {
-      if (cand == at || !space_.contains(cand)) return;
-      space_.consider_candidate_toward(cand, target, best, best_d, best_c);
-    };
-    const IndexTable& tbl = state(at).table;
-    for (std::size_t d = 0; d < space_.dims(); ++d) {
-      for (const can::Direction dir :
-           {can::Direction::kNegative, can::Direction::kPositive}) {
-        tbl.for_each_live(d, dir, sim_.now(),
-                          [&](const IndexTable::Entry& e) { consider(e.id); });
-      }
-    }
+  double best_d = 0.0;
+  double best_c = 0.0;
+  const can::CanSpace::Hop hop =
+      space_.greedy_hop(at, target, best, best_d, best_c);
+  if (hop == can::CanSpace::Hop::kGone) return;  // hop churned out: lost
+  if (hop == can::CanSpace::Hop::kOwner) {
+    ctx->on_arrive(at);
+    return;
+  }
+  if (ttl == 0) {
+    ++activity_.route_ttl_exhausted;
+    return;
+  }
+  const NodeState* st = hop == can::CanSpace::Hop::kOpen &&
+                                config_.long_link_routing
+                            ? state_.find(at)
+                            : nullptr;
+  if (st != nullptr) {
+    // Departed fingers are skipped by consider_candidate_toward itself.
+    st->table.for_each_live(sim_.now(), [&](const IndexTable::Entry& e) {
+      if (e.id == at) return;
+      space_.consider_candidate_toward(e.id, target, best, best_d, best_c);
+    });
   }
   if (!best.valid()) {
-    SOC_LOG(kDebug) << "route stalled at node " << at.value;
+    ++activity_.route_stalled;
     return;
   }
   // Trace query routing hops only — periodic state updates route too and

@@ -174,6 +174,8 @@ class IndexSystem {
     std::uint64_t diffusion_relays = 0;      ///< Alg. 2 handler invocations
     std::uint64_t publishes = 0;
     std::uint64_t invalidations = 0;
+    std::uint64_t route_ttl_exhausted = 0;   ///< routes dropped at TTL 0
+    std::uint64_t route_stalled = 0;  ///< no candidate beat the local zone
   };
   [[nodiscard]] const Activity& activity() const { return activity_; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/logging.hpp"
 
 namespace soc::net {
 

@@ -2,6 +2,10 @@
 // PIList, and the 2^k index-node tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "src/index/index_table.hpp"
 #include "src/index/pi_list.hpp"
 #include "src/index/record.hpp"
@@ -193,6 +197,174 @@ TEST(IndexTable, RefreshInPlaceDoesNotDuplicate) {
       tbl.live_entries(0, can::Direction::kNegative, seconds(51));
   ASSERT_EQ(live.size(), 1u);
   EXPECT_EQ(live[0].refreshed_at, seconds(50));
+}
+
+// Reference model of the index table: one vector per track, with the
+// store rules (refresh in place, evict the stalest same-level entry at the
+// cap, append) and the collect-into-vectors pick the flat table replaced.
+class TrackModel {
+ public:
+  TrackModel(std::size_t dims, std::size_t samples_per_level, SimTime ttl)
+      : samples_per_level_(samples_per_level), ttl_(ttl), tracks_(dims * 2) {}
+
+  static std::size_t track(std::size_t dim, can::Direction dir) {
+    return dim * 2 + (dir == can::Direction::kPositive ? 1 : 0);
+  }
+
+  void store(std::size_t dim, can::Direction dir, std::size_t level,
+             NodeId id, SimTime now) {
+    auto& t = tracks_[track(dim, dir)];
+    for (auto& e : t) {
+      if (e.id == id && e.level == level) {
+        e.refreshed_at = now;
+        return;
+      }
+    }
+    std::size_t level_count = 0;
+    auto stalest = t.end();
+    for (auto it = t.begin(); it != t.end(); ++it) {
+      if (it->level != level) continue;
+      ++level_count;
+      if (stalest == t.end() || it->refreshed_at < stalest->refreshed_at) {
+        stalest = it;
+      }
+    }
+    if (level_count >= samples_per_level_ && stalest != t.end()) {
+      t.erase(stalest);
+    }
+    t.push_back(IndexTable::Entry{id, static_cast<std::uint32_t>(level), now});
+  }
+
+  std::vector<IndexTable::Entry> live(std::size_t dim, can::Direction dir,
+                                      SimTime now) const {
+    std::vector<IndexTable::Entry> out;
+    for (const auto& e : tracks_[track(dim, dir)]) {
+      if (now - e.refreshed_at < ttl_) out.push_back(e);
+    }
+    return out;
+  }
+
+  std::optional<NodeId> pick(std::size_t dim, can::Direction dir,
+                             IndexSelectPolicy policy, SimTime now,
+                             Rng& rng) const {
+    const auto entries = live(dim, dir, now);
+    if (entries.empty()) return std::nullopt;
+    switch (policy) {
+      case IndexSelectPolicy::kRandomPowerLevel: {
+        std::vector<std::uint32_t> levels;
+        for (const auto& e : entries) levels.push_back(e.level);
+        std::sort(levels.begin(), levels.end());
+        levels.erase(std::unique(levels.begin(), levels.end()),
+                     levels.end());
+        const std::uint32_t lvl = levels[rng.pick_index(levels.size())];
+        std::vector<NodeId> at_level;
+        for (const auto& e : entries) {
+          if (e.level == lvl) at_level.push_back(e.id);
+        }
+        return at_level[rng.pick_index(at_level.size())];
+      }
+      case IndexSelectPolicy::kNearestOnly:
+        return std::min_element(entries.begin(), entries.end(),
+                                [](const auto& a, const auto& b) {
+                                  return a.level < b.level;
+                                })
+            ->id;
+      case IndexSelectPolicy::kUniformEntry:
+        return entries[rng.pick_index(entries.size())].id;
+    }
+    return std::nullopt;
+  }
+
+  std::size_t total() const {
+    std::size_t n = 0;
+    for (const auto& t : tracks_) n += t.size();
+    return n;
+  }
+
+ private:
+  std::size_t samples_per_level_;
+  SimTime ttl_;
+  std::vector<std::vector<IndexTable::Entry>> tracks_;
+};
+
+bool same_entries(const std::vector<IndexTable::Entry>& a,
+                  const std::vector<IndexTable::Entry>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const auto& x, const auto& y) {
+                      return x.id == y.id && x.level == y.level &&
+                             x.refreshed_at == y.refreshed_at;
+                    });
+}
+
+TEST(IndexTable, FlatTableMatchesPerTrackModel) {
+  const SimTime ttl = seconds(2700);
+  const IndexSelectPolicy policies[] = {IndexSelectPolicy::kRandomPowerLevel,
+                                        IndexSelectPolicy::kNearestOnly,
+                                        IndexSelectPolicy::kUniformEntry};
+  Rng gen(41);
+  for (int round = 0; round < 60; ++round) {
+    const auto dims = static_cast<std::size_t>(gen.uniform_int(1, 8));
+    const auto spl = static_cast<std::size_t>(gen.uniform_int(1, 3));
+    IndexTable tbl(dims, spl, ttl);
+    TrackModel model(dims, spl, ttl);
+    Rng rng_tbl(round);
+    Rng rng_model(round);
+    SimTime now = 0;
+    for (int op = 0; op < 400; ++op) {
+      now += seconds(gen.uniform_int(0, 120));
+      const auto dim = static_cast<std::size_t>(
+          gen.uniform_int(0, static_cast<std::int64_t>(dims) - 1));
+      const auto dir = gen.chance(0.5) ? can::Direction::kPositive
+                                       : can::Direction::kNegative;
+      // A small id pool makes refreshes (same id and level) common.
+      const auto level = static_cast<std::size_t>(gen.uniform_int(0, 12));
+      const NodeId id(static_cast<std::uint32_t>(gen.uniform_int(0, 9)));
+      tbl.store(dim, dir, level, id, now);
+      model.store(dim, dir, level, id, now);
+      ASSERT_EQ(tbl.total_entries(), model.total());
+
+      // Every track, read a little later so some entries have expired.
+      const SimTime read_at = now + seconds(gen.uniform_int(0, 3000));
+      for (std::size_t d = 0; d < dims; ++d) {
+        for (const auto dr :
+             {can::Direction::kNegative, can::Direction::kPositive}) {
+          std::vector<IndexTable::Entry> got;
+          tbl.for_each_live(d, dr, read_at,
+                            [&](const IndexTable::Entry& e) {
+                              got.push_back(e);
+                            });
+          ASSERT_TRUE(same_entries(got, model.live(d, dr, read_at)))
+              << "round " << round << " op " << op << " track " << d;
+          for (const auto policy : policies) {
+            ASSERT_EQ(tbl.pick(d, dr, policy, read_at, rng_tbl),
+                      model.pick(d, dr, policy, read_at, rng_model))
+                << "round " << round << " op " << op;
+          }
+        }
+      }
+      // The all-track pass visits the per-track passes back to back.
+      std::vector<IndexTable::Entry> all;
+      std::vector<IndexTable::Entry> concat;
+      tbl.for_each_live(read_at,
+                        [&](const IndexTable::Entry& e) { all.push_back(e); });
+      for (std::size_t d = 0; d < dims; ++d) {
+        for (const auto dr :
+             {can::Direction::kNegative, can::Direction::kPositive}) {
+          const auto t = model.live(d, dr, read_at);
+          concat.insert(concat.end(), t.begin(), t.end());
+        }
+      }
+      ASSERT_TRUE(same_entries(all, concat)) << "round " << round;
+    }
+    EXPECT_EQ(rng_tbl.next_u64(), rng_model.next_u64()) << "round " << round;
+  }
+}
+
+TEST(IndexTableDeathTest, LevelBeyondMaskFailsCheck) {
+  IndexTable tbl(2, 2, seconds(1000));
+  tbl.store(1, can::Direction::kPositive, 63, NodeId(1), 0);
+  EXPECT_DEATH(tbl.store(1, can::Direction::kPositive, 64, NodeId(1), 0),
+               "level < 64");
 }
 
 }  // namespace

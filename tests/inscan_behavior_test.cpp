@@ -189,5 +189,27 @@ TEST(InscanBehavior, PublishCountsAndRouteDelivery) {
   EXPECT_GE(stored + 4, 32u);
 }
 
+TEST(InscanBehavior, RouteTtlExhaustionIsCounted) {
+  // The first hop runs synchronously inside route(), so with a zero TTL a
+  // route from a non-owner is dropped (and counted) before route returns.
+  InscanConfig cfg;
+  cfg.route_ttl = 0;
+  InscanHarness h(16, cfg, 31);
+  const can::Point target{0.99, 0.99};
+  const NodeId owner = h.space.owner_of(target);
+  const NodeId from = h.ids[0] == owner ? h.ids[1] : h.ids[0];
+  bool arrived = false;
+  h.index.route(from, target, net::MsgType::kDutyQuery, 64,
+                [&](NodeId) { arrived = true; });
+  EXPECT_FALSE(arrived);
+  EXPECT_EQ(h.index.activity().route_ttl_exhausted, 1u);
+  // The owner itself needs no hop, so no TTL is spent.
+  h.index.route(owner, target, net::MsgType::kDutyQuery, 64,
+                [&](NodeId duty) { arrived = duty == owner; });
+  EXPECT_TRUE(arrived);
+  EXPECT_EQ(h.index.activity().route_ttl_exhausted, 1u);
+  EXPECT_EQ(h.index.activity().route_stalled, 0u);
+}
+
 }  // namespace
 }  // namespace soc::index
