@@ -1,6 +1,7 @@
 // Micro benchmarks (google-benchmark): throughput of the substrates the
-// simulation rests on — event queue, RNG, resource-vector dominance, CAN
-// geometry/routing — plus the paper's §III.A routing-hops claims:
+// simulation rests on — event queue, message bus, RNG, resource-vector
+// dominance, CAN geometry/routing — plus the paper's §III.A routing-hops
+// claims:
 // INSCAN-augmented routing should scale like O(log² n) versus plain CAN's
 // O(n^{1/d}), and INSCAN-RQ's traffic grows with the responsible-node
 // count while PID-CAN's stays bounded.
@@ -92,6 +93,33 @@ void BM_EventQueueScheduleCancel(benchmark::State& state) {
 BENCHMARK(BM_EventQueueScheduleCancel)
     ->Arg(1 << 20)
     ->Unit(benchmark::kMillisecond);
+
+// Steady message traffic through the bus: N messages in flight, and each
+// delivery sends the next one to a random host, so one iteration is one
+// send plus one delivery (fate, liveness, stats, handler) at queue depth N.
+void BM_MessageBusSendDeliver(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kHosts = 256;
+  sim::Simulator sim(16);
+  net::Topology topo(net::TopologyConfig{}, Rng(17));
+  topo.add_hosts(kHosts);
+  net::MessageBus bus(sim, topo);
+  struct Relay {
+    net::MessageBus* bus;
+    Rng rng;
+    void send(NodeId from) {
+      const NodeId to(static_cast<std::uint32_t>(rng.pick_index(kHosts)));
+      bus->send(from, to, net::MsgType::kGossip, 256, [this, to] { send(to); });
+    }
+  } relay{&bus, Rng(18)};
+  for (std::size_t i = 0; i < n; ++i) {
+    relay.send(NodeId(static_cast<std::uint32_t>(i % kHosts)));
+  }
+  for (auto _ : state) sim.step();
+  benchmark::DoNotOptimize(bus.stats().total_delivered());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MessageBusSendDeliver)->Arg(1024)->Arg(65536);
 
 void BM_RngUniform(benchmark::State& state) {
   Rng rng(2);

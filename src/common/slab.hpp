@@ -1,17 +1,15 @@
 // Slab<T>: a growable arena of reusable slots with a free-slot stack.
 //
-// The simulator keeps short-lived per-operation state alive in bulk —
-// pending events, in-flight messages — and each subsystem used to
-// hand-roll the same pattern: a vector of slots, a free-list head threaded
-// through a spare field, and a high-water-mark accessor for the stress
-// tests.  Slab centralizes it.
+// The event queue keeps every pending event alive in bulk — timers,
+// periodic firings and, as tagged events, every in-flight message — in one
+// slot apiece: a vector of slots, a free list, and a high-water-mark
+// accessor for the stress tests.  Slab is that pattern.
 //
 // The free list is a side stack of indices rather than a link threaded
-// through the slots: same LIFO reuse order as the hand-rolled intrusive
-// lists, but the slot array stays exactly sizeof(T) per entry (no link
-// field padding the hottest arenas — an EventQueue slot is
-// alignof(max_align_t)-aligned, so even 4 extra bytes would cost a full
-// alignment quantum of stride).
+// through the slots: LIFO reuse like an intrusive list, but the slot array
+// stays exactly sizeof(T) per entry (no link field padding the hot arena —
+// an EventQueue slot is alignof(max_align_t)-aligned, so even 4 extra bytes
+// would cost a full alignment quantum of stride).
 //
 // Semantics:
 //   * alloc() pops the free stack or appends; a *fresh* slot's value is

@@ -1,10 +1,11 @@
 // StableSlab<T>: slab allocator with address-stable slots.
 //
-// The common Slab<T> (slab.hpp) backs its slots with one std::vector, so
-// growth relocates every live object.  That is fine for value-ish state,
-// but fatal for objects whose scheduled closures capture `this` — the
-// PsmScheduler registers completion events against its own address, so
-// the cold half of the SoA host split needs storage that never moves.
+// Slab<T> (slab.hpp), the event queue's slot arena, backs its slots with
+// one std::vector, so growth relocates every live object.  That is fine
+// for event slots, whose callbacks relocate by move, but fatal for objects
+// whose scheduled closures capture `this` — the PsmScheduler registers
+// completion events against its own address, so the cold half of the SoA
+// host split needs storage that never moves.
 //
 // StableSlab allocates fixed-size chunks that are never reallocated or
 // freed until destruction; a slot's address is stable for the slab's

@@ -216,7 +216,6 @@ void Experiment::register_metrics() {
 obs::MemBreakdown Experiment::mem_breakdown() const {
   obs::MemBreakdown out;
   out.add("sim.event_queue", sim_.queue_mem_bytes());
-  out.add("net.bus_pending", bus_->mem_bytes());
   out.add("core.host_table", hosts_.mem_bytes());
   // FlatMap: one state byte plus one key/value pair per table slot.
   out.add("core.in_flight",

@@ -26,17 +26,21 @@ void PiList::add(NodeId id, SimTime now) {
   }
   if (entries_.size() >= capacity_) {
     // Evict the stalest entry; ties break toward the smallest id (the scan
-    // keeps the first minimum in id order).
+    // keeps the first minimum in id order).  One shift of the entries
+    // between the evicted slot and the insertion point replaces an erase
+    // plus an insert; the resulting array is the same.
     std::size_t stalest = 0;
     for (std::size_t e = 1; e < entries_.size(); ++e) {
       if (entries_[e].heard_at < entries_[stalest].heard_at) stalest = e;
     }
-    std::size_t insert_at = static_cast<std::size_t>(it - entries_.begin());
-    entries_.erase(entries_.begin() +
-                   static_cast<std::ptrdiff_t>(stalest));
-    if (stalest < insert_at) --insert_at;  // erase shifted the slot left
-    entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(insert_at),
-                    Entry{id, now});
+    const auto victim = entries_.begin() + static_cast<std::ptrdiff_t>(stalest);
+    if (victim < it) {
+      std::move(victim + 1, it, victim);  // close the gap leftwards
+      *(it - 1) = Entry{id, now};
+    } else {
+      std::move_backward(it, victim, victim + 1);  // open a gap at `it`
+      *it = Entry{id, now};
+    }
     return;
   }
   entries_.insert(it, Entry{id, now});

@@ -48,12 +48,14 @@ class PiList {
     return entries_.capacity() * sizeof(Entry);
   }
 
- private:
   struct Entry {
     NodeId id;
     SimTime heard_at = 0;
   };
+  /// Every stored entry, live or expired, in ascending id order.
+  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
 
+ private:
   [[nodiscard]] std::vector<Entry>::iterator lower_bound(NodeId id);
   [[nodiscard]] std::vector<Entry>::const_iterator lower_bound(
       NodeId id) const;

@@ -129,8 +129,20 @@ void TrafficStats::reset() {
   bytes_ = 0;
 }
 
+namespace {
+
+// Tag layout: destination id in bits 0-31, MsgType in 32-39, Fate in
+// 40-47; bit 63 keeps every message tag non-zero (0 = plain event).
+constexpr std::uint64_t kMessageTag = std::uint64_t{1} << 63;
+
+}  // namespace
+
 MessageBus::MessageBus(sim::Simulator& sim, const Topology& topo)
-    : sim_(sim), topo_(topo), jitter_rng_(sim.rng().fork("message-bus")) {}
+    : sim_(sim), topo_(topo), jitter_rng_(sim.rng().fork("message-bus")) {
+  sim_.register_sink(this);
+}
+
+MessageBus::~MessageBus() { sim_.unregister_sink(this); }
 
 void MessageBus::set_liveness(std::function<bool(NodeId)> is_alive) {
   is_alive_ = std::move(is_alive);
@@ -162,7 +174,7 @@ void MessageBus::send(NodeId from, NodeId to, MsgType type, std::size_t bytes,
   if (from == to) {
     // Loopback: negligible but strictly positive delay for causality; never
     // touches the network, so partitions and link faults do not apply.
-    park_and_schedule(1, to, type, Fate::kDeliver, std::move(on_deliver));
+    schedule(1, to, type, Fate::kDeliver, std::move(on_deliver));
     return;
   }
   SimTime delay = topo_.transfer_delay(from, to, bytes, jitter_rng_);
@@ -170,8 +182,7 @@ void MessageBus::send(NodeId from, NodeId to, MsgType type, std::size_t bytes,
   if (partition_active() && in_partition_cut(from) != in_partition_cut(to)) {
     // Sealed at send time: the message is already on a link that just went
     // dark.  It is resolved (and accounted) at its would-be arrival.
-    park_and_schedule(delay, to, type, Fate::kPartitioned,
-                      std::move(on_deliver));
+    schedule(delay, to, type, Fate::kPartitioned, std::move(on_deliver));
     return;
   }
 
@@ -195,7 +206,7 @@ void MessageBus::send(NodeId from, NodeId to, MsgType type, std::size_t bytes,
   }
 
   if (!duplicate) {
-    park_and_schedule(delay, to, type, fate, std::move(on_deliver));
+    schedule(delay, to, type, fate, std::move(on_deliver));
     return;
   }
   // Duplication: the copy is real traffic, billed as a second send so the
@@ -203,34 +214,26 @@ void MessageBus::send(NodeId from, NodeId to, MsgType type, std::size_t bytes,
   // move-only but repeatedly invocable); each arrival invokes it once.
   stats_.on_send(from, type, bytes);
   auto shared = std::make_shared<DeliverFn>(std::move(on_deliver));
-  park_and_schedule(delay, to, type, fate, DeliverFn([shared] {
-                      if (*shared) (*shared)();
-                    }));
-  park_and_schedule(dup_delay, to, type, fate, DeliverFn([shared] {
-                      if (*shared) (*shared)();
-                    }));
+  schedule(delay, to, type, fate, DeliverFn([shared] {
+             if (*shared) (*shared)();
+           }));
+  schedule(dup_delay, to, type, fate, DeliverFn([shared] {
+             if (*shared) (*shared)();
+           }));
 }
 
-void MessageBus::park_and_schedule(SimTime delay, NodeId to, MsgType type,
-                                   Fate fate, DeliverFn fn) {
-  // Park the callback in the slab and schedule a slot-sized closure.
-  const std::uint32_t slot = pending_.alloc();
-  Pending& p = pending_[slot];
-  p.fn = std::move(fn);
-  p.to = to;
-  p.type = type;
-  p.fate = fate;
-  sim_.schedule_after(delay, [this, slot] { deliver(slot); });
+void MessageBus::schedule(SimTime delay, NodeId to, MsgType type, Fate fate,
+                          DeliverFn fn) {
+  const std::uint64_t tag = kMessageTag |
+                            static_cast<std::uint64_t>(fate) << 40 |
+                            static_cast<std::uint64_t>(type) << 32 | to.value;
+  sim_.schedule_tagged_after(delay, tag, std::move(fn));
 }
 
-void MessageBus::deliver(std::uint32_t slot) {
-  Pending& p = pending_[slot];
-  DeliverFn fn = std::move(p.fn);
-  const NodeId to = p.to;
-  const MsgType type = p.type;
-  const Fate fate = p.fate;
-  // Free the slot before invoking: the callback may send more messages.
-  pending_.release(slot);
+void MessageBus::deliver_tagged(std::uint64_t tag, DeliverFn& fn) {
+  const NodeId to(static_cast<std::uint32_t>(tag));
+  const auto type = static_cast<MsgType>((tag >> 32) & 0xff);
+  const auto fate = static_cast<Fate>((tag >> 40) & 0xff);
   if (fate == Fate::kPartitioned) {
     stats_.on_partitioned(type);  // swallowed by the cut
     return;

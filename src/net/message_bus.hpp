@@ -12,7 +12,6 @@
 
 #include "src/common/inline_fn.hpp"
 #include "src/common/rng.hpp"
-#include "src/common/slab.hpp"
 #include "src/common/types.hpp"
 #include "src/net/link_model.hpp"
 #include "src/net/topology.hpp"
@@ -101,13 +100,19 @@ class TrafficStats {
 /// consulted at delivery time so messages to churned-out hosts are lost,
 /// like UDP datagrams to a dead peer.
 ///
-/// In-flight messages live in a shared Slab<T> arena: send() parks the
-/// callback there and schedules a 16-byte closure, so the per message cost
-/// is zero heap allocations (small captures stay inside the InlineFn
-/// buffer; the slab reuses slots as messages arrive).
-class MessageBus {
+/// Each in-flight message is one tagged simulator event: send() schedules
+/// the handler itself with a tag packing (destination, type, fate), and the
+/// simulator hands the popped event back to the bus, which resolves the
+/// fate and runs the handler.  The per-message cost is one event-queue
+/// slot and zero heap allocations (small captures stay inside the InlineFn
+/// buffer).  A bus registers with its simulator for its whole lifetime, and
+/// a simulator serves at most one bus at a time.
+class MessageBus final : private sim::TaggedEventSink {
  public:
   MessageBus(sim::Simulator& sim, const Topology& topo);
+  ~MessageBus();
+  MessageBus(const MessageBus&) = delete;
+  MessageBus& operator=(const MessageBus&) = delete;
 
   /// Liveness oracle; unset means "all hosts alive".
   void set_liveness(std::function<bool(NodeId)> is_alive);
@@ -144,14 +149,9 @@ class MessageBus {
   [[nodiscard]] TrafficStats& stats() { return stats_; }
   [[nodiscard]] const TrafficStats& stats() const { return stats_; }
 
-  /// Messages sent but not yet arrived (slab occupancy, for tests).
-  [[nodiscard]] std::size_t in_flight() const { return pending_.live(); }
-
-  /// Bytes claimed by the in-flight slab's high-water mark
-  /// (attribution-profiler hook).
-  [[nodiscard]] std::size_t mem_bytes() const {
-    return pending_.slots() * sizeof(Pending);
-  }
+  /// Messages sent but not yet arrived: the simulator's count of pending
+  /// tagged events, kept apart from the per-type totals in stats().
+  [[nodiscard]] std::size_t in_flight() const { return sim_.tagged_events(); }
 
   /// Attach (or with nullptr detach) a handler wall-time profiler: each
   /// delivered message's handler execution is timed and recorded into
@@ -173,23 +173,16 @@ class MessageBus {
   /// resolved when the message reaches its would-be arrival time.
   enum class Fate : std::uint8_t { kDeliver, kLost, kPartitioned };
 
-  struct Pending {
-    DeliverFn fn;
-    NodeId to;
-    MsgType type = MsgType::kCount;
-    Fate fate = Fate::kDeliver;
-  };
-
-  void deliver(std::uint32_t slot);
-  void park_and_schedule(SimTime delay, NodeId to, MsgType type, Fate fate,
-                         DeliverFn fn);
+  /// Runs at the message's arrival time with the tag schedule() packed.
+  void deliver_tagged(std::uint64_t tag, DeliverFn& fn) override;
+  void schedule(SimTime delay, NodeId to, MsgType type, Fate fate,
+                DeliverFn fn);
 
   sim::Simulator& sim_;
   const Topology& topo_;
   Rng jitter_rng_;
   TrafficStats stats_;
   std::function<bool(NodeId)> is_alive_;
-  Slab<Pending> pending_;
   std::unique_ptr<LinkModel> link_model_;  ///< null unless faults enabled
   std::vector<std::size_t> cut_lans_;      ///< sorted; empty = no partition
   obs::TimeProfiler* profiler_ = nullptr;  ///< null unless a report asks

@@ -116,7 +116,7 @@ InvariantReport check_invariants(core::Experiment& ex, Rng& rng) {
   // 1. Host accounting / dense-map sanity.
   chk.expect_clean(ex.check_accounting(), "experiment accounting");
 
-  // 2. Event-queue slab/heap/generation sanity.
+  // 2. Event-queue slab/heap/generation/tagged-count sanity.
   chk.expect(ex.simulator().verify_queue_integrity(),
              "event queue heap/slab integrity");
 
@@ -137,8 +137,11 @@ InvariantReport check_invariants(core::Experiment& ex, Rng& rng) {
                    " delivered+lost+partitioned+in_flight+synthetic=" +
                    std::to_string(resolved));
   }
+  // bus.in_flight() is the queue's tagged-event counter, which the
+  // integrity check above recounts from the heap; the per-type totals are
+  // kept apart, by the bus's stats.
   chk.expect(ex.bus().in_flight() == stats.total_in_flight(),
-             "bus slab occupancy != per-type in-flight totals");
+             "bus in-flight count != per-type in-flight totals");
 
   // 4. Partition bookkeeping: the cut set only holds alive hosts, the
   // protocol's parked state mirrors it exactly, and no messages can be

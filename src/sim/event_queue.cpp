@@ -17,15 +17,19 @@ std::uint32_t EventQueue::alloc_slot() {
 
 void EventQueue::free_slot(std::uint32_t idx) {
   Slot& s = slots_[idx];
+  if (s.tag != 0) --tagged_;
   s.fn.reset();  // release captures immediately, not at slot reuse
   ++s.gen;       // odd (live) -> even (free); stale handles now mismatch
   slots_.release(idx);
 }
 
-EventHandle EventQueue::push(SimTime at, EventFn fn) {
-  SOC_CHECK_MSG(static_cast<bool>(fn), "null event callback");
+EventHandle EventQueue::push(SimTime at, EventFn fn, std::uint64_t tag) {
+  SOC_CHECK_MSG(tag != 0 || static_cast<bool>(fn), "null event callback");
   const std::uint32_t idx = alloc_slot();
-  slots_[idx].fn = std::move(fn);
+  Slot& s = slots_[idx];
+  s.tag = tag;
+  s.fn = std::move(fn);
+  if (tag != 0) ++tagged_;
   heap_.emplace_back();  // room for the sifted-in entry
   sift_up(heap_.size() - 1, Entry{at, next_seq_++, idx});
   return EventHandle{idx, slots_[idx].gen};
@@ -43,7 +47,8 @@ bool EventQueue::cancel(EventHandle h) {
 EventQueue::Popped EventQueue::pop() {
   SOC_CHECK_MSG(!heap_.empty(), "pop() on empty event queue");
   const std::uint32_t idx = heap_[0].slot;
-  Popped out{heap_[0].at, std::move(slots_[idx].fn)};
+  Slot& s = slots_[idx];
+  Popped out{heap_[0].at, s.tag, std::move(s.fn)};
   heap_remove(0);
   free_slot(idx);
   return out;
@@ -80,6 +85,7 @@ void EventQueue::sift_up(std::size_t pos, Entry e) {
 bool EventQueue::verify_integrity() const {
   if (slots_.live() != heap_.size()) return false;
   std::vector<bool> seen(slots_.slots(), false);
+  std::size_t tagged = 0;
   for (std::size_t i = 0; i < heap_.size(); ++i) {
     const Entry& e = heap_[i];
     if (e.slot >= slots_.slots()) return false;
@@ -89,8 +95,9 @@ bool EventQueue::verify_integrity() const {
     if ((s.gen & 1u) == 0) return false;  // heap points at a freed slot
     if (s.heap_pos != i) return false;    // stale back-pointer
     if (i > 0 && e.before(heap_[(i - 1) / kArity])) return false;
+    if (s.tag != 0) ++tagged;
   }
-  return true;
+  return tagged == tagged_;
 }
 
 void EventQueue::sift_down(std::size_t pos, Entry e) {

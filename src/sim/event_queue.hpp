@@ -4,7 +4,7 @@
 // monotone sequence number breaks ties), so a simulation run is a pure
 // function of its seed — the property all reproduction experiments rely on.
 //
-// Layout: an indexed 4-ary min-heap over a shared Slab<T> arena.  Heap
+// Layout: an indexed 4-ary min-heap over a Slab<T> of event slots.  Heap
 // entries carry the full sort key (time, seq) so sifting touches only the
 // contiguous heap array; the slab slot holds the callback inline via
 // InlineFn plus a generation counter.  Scheduling an event costs zero heap
@@ -12,6 +12,13 @@
 // removal — cancelled events free their slot and their captures immediately
 // instead of lingering as tombstones.  Handles are generation-checked, so a
 // stale handle to a recycled slot is rejected.
+//
+// Tagged events: a slot also carries a 64-bit tag, 0 for a plain event.  A
+// non-zero tag is opaque to the queue and is handed back by pop(); the
+// Simulator routes such events to its message bus, which packs a message's
+// (destination, type, fate) into it, so an in-flight message is exactly one
+// slot here and nothing else.  The tag fills the alignment padding between
+// the slot header and the callback, so slots stay the same size.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +46,10 @@ struct EventHandle {
 
 class EventQueue {
  public:
-  EventHandle push(SimTime at, EventFn fn);
+  /// Schedule `fn` at `at`.  `tag` 0 is a plain event (fn must be set); a
+  /// non-zero tag marks an event whose owner interprets it on pop (fn may
+  /// then be empty).
+  EventHandle push(SimTime at, EventFn fn, std::uint64_t tag = 0);
 
   /// Cancel a previously scheduled event, removing it from the heap and
   /// releasing its slab slot (and captures) immediately.  Returns false if
@@ -57,6 +67,7 @@ class EventQueue {
   /// Pop and return the earliest live event.  Requires !empty().
   struct Popped {
     SimTime at;
+    std::uint64_t tag;  ///< as pushed; 0 = plain event
     EventFn fn;
   };
   Popped pop();
@@ -65,6 +76,9 @@ class EventQueue {
   /// Bounded by the *peak* number of simultaneously pending events, not the
   /// total scheduled — the stress tests assert on this.
   [[nodiscard]] std::size_t slab_slots() const { return slots_.slots(); }
+
+  /// Live events with a non-zero tag (maintained on push/pop/cancel).
+  [[nodiscard]] std::size_t tagged() const { return tagged_; }
 
   /// Bytes claimed by the backing storage (heap capacity + slab
   /// high-water slots); attribution-profiler hook.
@@ -75,8 +89,9 @@ class EventQueue {
   /// Handle-generation / heap sanity oracle (sim_fuzz): every heap entry's
   /// slot is live (odd generation) with a back-pointer to its heap
   /// position, the heap order invariant holds for all parent/child pairs,
-  /// and the slab's live count equals the heap size — i.e. no leaked,
-  /// double-freed or aliased slots.  O(n); read-only.
+  /// the slab's live count equals the heap size — i.e. no leaked,
+  /// double-freed or aliased slots — and tagged() equals a recount of the
+  /// heap's tagged slots.  O(n); read-only.
   [[nodiscard]] bool verify_integrity() const;
 
  private:
@@ -96,8 +111,11 @@ class EventQueue {
   struct Slot {
     std::uint32_t gen = 0;       ///< odd = live, even = free
     std::uint32_t heap_pos = 0;  ///< heap index while live
+    std::uint64_t tag = 0;       ///< 0 = plain event
     EventFn fn;
   };
+  // The tag sits in what was padding before the over-aligned callback.
+  static_assert(sizeof(Slot) == 16 + sizeof(EventFn));
 
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t idx);
@@ -106,8 +124,9 @@ class EventQueue {
   void sift_down(std::size_t pos, Entry e);
 
   std::vector<Entry> heap_;  ///< 4-ary min-heap
-  Slab<Slot> slots_;         ///< shared slab arena (free list lives there)
+  Slab<Slot> slots_;         ///< event slots (free list lives there)
   std::uint64_t next_seq_ = 0;
+  std::size_t tagged_ = 0;  ///< live slots with tag != 0
 };
 
 }  // namespace soc::sim

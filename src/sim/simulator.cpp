@@ -21,6 +21,25 @@ EventHandle Simulator::schedule_after(SimTime delay, EventFn fn) {
 
 bool Simulator::cancel(EventHandle h) { return queue_.cancel(h); }
 
+void Simulator::schedule_tagged_after(SimTime delay, std::uint64_t tag,
+                                      EventFn fn) {
+  SOC_CHECK(delay >= 0);
+  SOC_CHECK_MSG(delay < kSimTimeNever - now_, "delay overflows SimTime");
+  SOC_CHECK(tag != 0);
+  queue_.push(now_ + delay, std::move(fn), tag);
+}
+
+void Simulator::register_sink(TaggedEventSink* sink) {
+  SOC_CHECK_MSG(sink_ == nullptr,
+                "a message bus is already registered with this simulator");
+  sink_ = sink;
+}
+
+void Simulator::unregister_sink(TaggedEventSink* sink) {
+  SOC_CHECK(sink_ == sink);
+  sink_ = nullptr;
+}
+
 // Periodic processes reschedule themselves; the shared state lets the
 // caller's returned handle cancel whichever firing is currently queued.
 // Each firing's closure captures only the shared_ptr (16 bytes), so the
@@ -67,13 +86,24 @@ EventHandle Simulator::schedule_periodic(SimTime period,
   return s->current;
 }
 
+// Plain events run their callback; tagged ones go to the registered sink.
+void Simulator::execute(std::uint64_t tag, EventFn& fn) {
+  if (tag == 0) {
+    fn();
+    return;
+  }
+  SOC_CHECK_MSG(sink_ != nullptr,
+                "tagged event popped with no message bus registered");
+  sink_->deliver_tagged(tag, fn);
+}
+
 std::uint64_t Simulator::run_until(SimTime until) {
   std::uint64_t n = 0;
   while (!queue_.empty() && queue_.next_time() <= until) {
-    auto [at, fn] = queue_.pop();
+    auto [at, tag, fn] = queue_.pop();
     SOC_DCHECK(at >= now_);
     now_ = at;
-    fn();
+    execute(tag, fn);
     ++n;
   }
   // Advance the clock to the horizon even if no event lands exactly there,
@@ -87,9 +117,9 @@ std::uint64_t Simulator::run_all() { return run_until(kSimTimeNever); }
 
 bool Simulator::step(SimTime until) {
   if (queue_.empty() || queue_.next_time() > until) return false;
-  auto [at, fn] = queue_.pop();
+  auto [at, tag, fn] = queue_.pop();
   now_ = at;
-  fn();
+  execute(tag, fn);
   ++executed_;
   return true;
 }

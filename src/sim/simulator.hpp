@@ -13,6 +13,17 @@
 
 namespace soc::sim {
 
+/// Receiver of the simulator's tagged events: the message bus.  Every
+/// in-flight message is one tagged event; when it pops, the simulator
+/// passes its tag and callback here instead of invoking the callback.
+class TaggedEventSink {
+ public:
+  virtual void deliver_tagged(std::uint64_t tag, EventFn& fn) = 0;
+
+ protected:
+  ~TaggedEventSink() = default;
+};
+
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed = 1);
@@ -29,6 +40,18 @@ class Simulator {
   /// Schedule fn after a non-negative delay.
   EventHandle schedule_after(SimTime delay, EventFn fn);
   bool cancel(EventHandle h);
+
+  /// Schedule a tagged event (tag != 0) after a non-negative delay; it is
+  /// handed to the registered sink when it pops.  Tagged events cannot be
+  /// cancelled: no handle is returned.
+  void schedule_tagged_after(SimTime delay, std::uint64_t tag, EventFn fn);
+
+  /// Register the one sink for tagged events (checked: at most one at a
+  /// time), and unregister it.  Popping a tagged event while no sink is
+  /// registered — e.g. its bus was destroyed with messages still queued —
+  /// is a checked failure, never a call into the departed sink.
+  void register_sink(TaggedEventSink* sink);
+  void unregister_sink(TaggedEventSink* sink);
 
   /// Schedule fn every `period`, first firing after `phase` (defaults to a
   /// full period).  The callback may return false to stop the series.
@@ -48,6 +71,8 @@ class Simulator {
 
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
+  /// Pending tagged events (the message bus's in-flight count).
+  [[nodiscard]] std::size_t tagged_events() const { return queue_.tagged(); }
 
   /// Event-queue storage footprint (attribution-profiler hook).
   [[nodiscard]] std::size_t queue_mem_bytes() const {
@@ -63,9 +88,11 @@ class Simulator {
  private:
   struct PeriodicState;
   void fire_periodic(std::shared_ptr<PeriodicState> state);
+  void execute(std::uint64_t tag, EventFn& fn);
 
   SimTime now_ = 0;
   EventQueue queue_;
+  TaggedEventSink* sink_ = nullptr;
   Rng rng_;
   std::uint64_t executed_ = 0;
 };

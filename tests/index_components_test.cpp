@@ -129,6 +129,89 @@ TEST(PiList, PruneDropsExpired) {
   EXPECT_TRUE(pi.contains_live(NodeId(2), seconds(100)));
 }
 
+// Reference PIList: the id-sorted array with eviction done as a separate
+// erase of the stalest entry followed by a sorted insert.
+class PiListModel {
+ public:
+  PiListModel(std::size_t capacity, SimTime ttl)
+      : capacity_(capacity), ttl_(ttl) {}
+
+  void add(NodeId id, SimTime now) {
+    auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), id,
+        [](const PiList::Entry& e, NodeId t) { return e.id < t; });
+    if (it != entries_.end() && it->id == id) {
+      it->heard_at = now;
+      return;
+    }
+    if (entries_.size() >= capacity_) {
+      const auto stalest = std::min_element(
+          entries_.begin(), entries_.end(),
+          [](const PiList::Entry& a, const PiList::Entry& b) {
+            return a.heard_at < b.heard_at;
+          });
+      entries_.erase(stalest);
+      it = std::lower_bound(
+          entries_.begin(), entries_.end(), id,
+          [](const PiList::Entry& e, NodeId t) { return e.id < t; });
+    }
+    entries_.insert(it, PiList::Entry{id, now});
+  }
+  void erase(NodeId id) {
+    std::erase_if(entries_,
+                  [id](const PiList::Entry& e) { return e.id == id; });
+  }
+  void prune(SimTime now) {
+    std::erase_if(entries_, [&](const PiList::Entry& e) {
+      return (now - e.heard_at) >= ttl_;
+    });
+  }
+  [[nodiscard]] const std::vector<PiList::Entry>& entries() const {
+    return entries_;
+  }
+
+ private:
+  std::size_t capacity_;
+  SimTime ttl_;
+  std::vector<PiList::Entry> entries_;
+};
+
+TEST(PiList, EvictionMatchesEraseInsertModel) {
+  Rng gen(43);
+  for (int round = 0; round < 200; ++round) {
+    const auto capacity = static_cast<std::size_t>(gen.uniform_int(1, 64));
+    const SimTime ttl = seconds(gen.uniform_int(5, 60));
+    PiList pi(capacity, ttl);
+    PiListModel model(capacity, ttl);
+    // Coarse time steps (often 0) make tied heard_at values common, and an
+    // id pool of about twice the capacity keeps the list mostly full.
+    const auto pool = static_cast<std::int64_t>(2 * capacity + 1);
+    SimTime now = 0;
+    for (int op = 0; op < 300; ++op) {
+      now += seconds(gen.uniform_int(0, 2));
+      const NodeId id(static_cast<std::uint32_t>(gen.uniform_int(0, pool)));
+      const double roll = gen.uniform();
+      if (roll < 0.8) {
+        pi.add(id, now);  // a fresh id, or a refresh of a stored one
+        model.add(id, now);
+      } else if (roll < 0.95) {
+        pi.erase(id);
+        model.erase(id);
+      } else {
+        pi.prune(now);
+        model.prune(now);
+      }
+      const auto& got = pi.entries();
+      const auto& want = model.entries();
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end(),
+                             [](const auto& a, const auto& b) {
+                               return a.id == b.id && a.heard_at == b.heard_at;
+                             }))
+          << "round " << round << " op " << op << " capacity " << capacity;
+    }
+  }
+}
+
 TEST(IndexTable, StoreAndPickByLevel) {
   IndexTable tbl(2, 2, seconds(1000));
   tbl.store(0, can::Direction::kNegative, 0, NodeId(1), 0);

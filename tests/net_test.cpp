@@ -1,6 +1,9 @@
 // Unit tests for the LAN/WAN topology and message bus.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/net/link_model.hpp"
 #include "src/net/message_bus.hpp"
 #include "src/net/topology.hpp"
 #include "src/sim/simulator.hpp"
@@ -262,6 +265,103 @@ TEST(MessageBus, SelfSendBypassesPartition) {
   sim.run_all();
   EXPECT_TRUE(got);
   EXPECT_EQ(bus.stats().total_partitioned(), 0u);
+}
+
+// A message is one tagged event: it shares the simulator's (time, schedule
+// order) with plain events, so a message and an event due at the same
+// microsecond run in the order they were scheduled, either way round.
+TEST(MessageBus, MessageAndEventAtSameInstantRunInScheduleOrder) {
+  for (const bool message_first : {true, false}) {
+    sim::Simulator sim(24);
+    Topology topo(small_config(), Rng(24));
+    topo.add_hosts(4);
+    MessageBus bus(sim, topo);
+    std::vector<char> order;
+    // A loopback send arrives after exactly 1 µs.
+    const auto send = [&] {
+      bus.send(NodeId(2), NodeId(2), MsgType::kDispatch, 64,
+               [&] { order.push_back('m'); });
+    };
+    const auto event = [&] {
+      sim.schedule_after(1, [&] { order.push_back('e'); });
+    };
+    if (message_first) {
+      send();
+      event();
+    } else {
+      event();
+      send();
+    }
+    sim.run_all();
+    EXPECT_EQ(order, message_first ? (std::vector<char>{'m', 'e'})
+                                   : (std::vector<char>{'e', 'm'}));
+    EXPECT_EQ(sim.now(), 1);
+  }
+}
+
+// in_flight() is the simulator's count of pending tagged events; it must
+// agree with the per-type totals while messages fly and return to 0 once
+// every fate (loopback, link loss, partition, duplicate, churn loss) has
+// resolved.
+TEST(MessageBus, InFlightReturnsToZeroAcrossFates) {
+  sim::Simulator sim(25);
+  Topology topo(small_config(), Rng(25));
+  topo.add_hosts(12);  // LANs 0–3 / 4–7 / 8–11
+  MessageBus bus(sim, topo);
+  LinkFaultConfig cfg;
+  cfg.enabled = true;
+  cfg.wan.loss_good = 1.0;          // every cross-LAN message is lost
+  cfg.duplicate_probability = 1.0;  // every surviving message is doubled
+  bus.enable_link_faults(cfg);
+  bus.set_liveness([](NodeId id) { return id.value != 3; });
+  bus.set_partition({2});
+
+  int arrivals = 0;
+  const auto count = [&] { ++arrivals; };
+  bus.send(NodeId(0), NodeId(0), MsgType::kDispatch, 64, count);   // loopback
+  bus.send(NodeId(0), NodeId(4), MsgType::kGossip, 64, count);     // lost
+  bus.send(NodeId(0), NodeId(8), MsgType::kGossip, 64, count);     // cut
+  bus.send(NodeId(0), NodeId(1), MsgType::kDutyQuery, 64, count);  // doubled
+  bus.send(NodeId(0), NodeId(3), MsgType::kDutyQuery, 64, count);  // churned
+  const TrafficStats& s = bus.stats();
+  EXPECT_EQ(bus.in_flight(), 7u);  // the two doubled sends are two each
+  EXPECT_EQ(bus.in_flight(), s.total_in_flight());
+  EXPECT_EQ(sim.tagged_events(), bus.in_flight());
+  EXPECT_EQ(sim.pending_events(), bus.in_flight());
+
+  sim.run_all();
+  EXPECT_EQ(bus.in_flight(), 0u);
+  EXPECT_EQ(s.total_in_flight(), 0u);
+  EXPECT_EQ(arrivals, 3);  // loopback + both copies of the doubled send
+  EXPECT_EQ(s.total_delivered(), 3u);
+  EXPECT_EQ(s.total_lost(), 3u);  // link loss + both copies to the dead host
+  EXPECT_EQ(s.total_partitioned(), 1u);
+  EXPECT_EQ(s.total_sent(), 7u);
+}
+
+// Queued messages outlive a destroyed bus only as inert events: popping one
+// is a checked failure, never a call into the freed bus.
+TEST(MessageBusDeathTest, QueuedMessageAfterBusDestroyedAborts) {
+  sim::Simulator sim(26);
+  Topology topo(small_config(), Rng(26));
+  topo.add_hosts(8);
+  bool delivered = false;
+  {
+    MessageBus bus(sim, topo);
+    bus.send(NodeId(0), NodeId(4), MsgType::kGossip, 64,
+             [&] { delivered = true; });
+  }
+  EXPECT_EQ(sim.tagged_events(), 1u);
+  EXPECT_DEATH(sim.run_all(), "no message bus registered");
+  EXPECT_FALSE(delivered);
+}
+
+TEST(MessageBusDeathTest, SecondBusOnOneSimulatorAborts) {
+  sim::Simulator sim(27);
+  Topology topo(small_config(), Rng(27));
+  topo.add_hosts(4);
+  MessageBus bus(sim, topo);
+  EXPECT_DEATH(MessageBus(sim, topo), "already registered");
 }
 
 TEST(TrafficStats, PartitionedCountsSeparatelyFromLost) {

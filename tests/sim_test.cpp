@@ -243,5 +243,91 @@ TEST(Simulator, DeterministicAcrossRuns) {
   EXPECT_NE(run(5), run(6));
 }
 
+TEST(EventQueue, TaggedCountTracksPushPopAndCancel) {
+  EventQueue q;
+  q.push(10, [] {});
+  const EventHandle h = q.push(20, [] {}, 7);
+  q.push(5, nullptr, 9);  // a tagged event may carry no callback
+  EXPECT_EQ(q.tagged(), 2u);
+  EXPECT_TRUE(q.verify_integrity());
+
+  const EventQueue::Popped first = q.pop();
+  EXPECT_EQ(first.at, 5);
+  EXPECT_EQ(first.tag, 9u);
+  EXPECT_FALSE(static_cast<bool>(first.fn));
+  EXPECT_EQ(q.tagged(), 1u);
+  EXPECT_EQ(q.pop().tag, 0u);  // the plain event at t=10
+  EXPECT_TRUE(q.cancel(h));
+  EXPECT_EQ(q.tagged(), 0u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(q.verify_integrity());
+
+  // A recycled slot forgets its old tag.
+  q.push(30, [] {});
+  EXPECT_EQ(q.tagged(), 0u);
+  EXPECT_EQ(q.pop().tag, 0u);
+}
+
+/// Records the order in which tagged events reach the sink.
+struct RecordingSink final : TaggedEventSink {
+  std::vector<std::uint64_t>* log = nullptr;
+  void deliver_tagged(std::uint64_t tag, EventFn& fn) override {
+    log->push_back(tag);
+    if (fn) fn();
+  }
+};
+
+TEST(Simulator, TaggedAndPlainEventsRunInScheduleOrder) {
+  for (const bool tagged_first : {true, false}) {
+    for (const bool stepwise : {true, false}) {
+      Simulator sim;
+      std::vector<std::uint64_t> log;
+      RecordingSink sink;
+      sink.log = &log;
+      sim.register_sink(&sink);
+      if (tagged_first) {
+        sim.schedule_tagged_after(5, 42, nullptr);
+        sim.schedule_after(5, [&] { log.push_back(0); });
+      } else {
+        sim.schedule_after(5, [&] { log.push_back(0); });
+        sim.schedule_tagged_after(5, 42, nullptr);
+      }
+      EXPECT_EQ(sim.tagged_events(), 1u);
+      if (stepwise) {
+        while (sim.step()) {
+        }
+      } else {
+        sim.run_until(5);
+      }
+      const std::vector<std::uint64_t> want =
+          tagged_first ? std::vector<std::uint64_t>{42, 0}
+                       : std::vector<std::uint64_t>{0, 42};
+      EXPECT_EQ(log, want) << "tagged_first=" << tagged_first
+                           << " stepwise=" << stepwise;
+      EXPECT_EQ(sim.tagged_events(), 0u);
+      EXPECT_EQ(sim.events_executed(), 2u);
+      sim.unregister_sink(&sink);
+    }
+  }
+}
+
+TEST(SimulatorDeathTest, TaggedPopWithoutSinkAborts) {
+  Simulator sim;
+  sim.schedule_tagged_after(1, 3, [] {});
+  EXPECT_DEATH(sim.run_all(), "no message bus registered");
+  EXPECT_DEATH(sim.step(), "no message bus registered");
+}
+
+TEST(SimulatorDeathTest, SecondSinkAborts) {
+  Simulator sim;
+  RecordingSink a;
+  RecordingSink b;
+  sim.register_sink(&a);
+  EXPECT_DEATH(sim.register_sink(&b), "already registered");
+  sim.unregister_sink(&a);
+  sim.register_sink(&b);  // a departed sink frees the seat
+  sim.unregister_sink(&b);
+}
+
 }  // namespace
 }  // namespace soc::sim
